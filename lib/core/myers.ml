@@ -290,21 +290,118 @@ let with_band_state ?ws q f =
           Scratch.release ws peq)
         (fun () -> init peq pv mv bscore)
 
-(* Iterative deepening over the banded core (edlib's outer loop): try a
-   one-word band first, double until the band survives or the cap is
+(* ------------------------------------------------------------------ *)
+(* One-word diagonal band (Hyyrö, Nordic J. Computing 10, 2003).        *)
+(*                                                                     *)
+(* With Δ = n − m, a path of cost ≤ k stays within diagonals           *)
+(* d = i − j ∈ [dmin, dmax] = [⌈(Δ−k)/2⌉, ⌊(Δ+k)/2⌋]: reaching (i, j)   *)
+(* costs ≥ |d| and finishing costs ≥ |Δ − d|. For k ≤ {!diag_max_k}    *)
+(* the band is at most 61 diagonals, so one word holds it: bit r of    *)
+(* column j is row j + dmin + r, and the word slides down one row per  *)
+(* column (shift right by one). Cells outside the band enter as upper  *)
+(* bounds — the new bottom row's vertical delta and the top input are  *)
+(* both +1, each the cost of a real one-step path from a band cell —   *)
+(* so every computed value is a path cost, and any optimal path of     *)
+(* cost ≤ k is seen whole: the rung returns [d] exactly when d ≤ k.    *)
+(*                                                                     *)
+(* Rows above row 0 (reached while j < −dmin) extend the matrix with   *)
+(* D(i, j) = j − i, exact under the same +1 top input and column-0     *)
+(* deltas of −1; rows below n never reach row n. Neither needs match   *)
+(* bits, so the padded masks are zero there.                           *)
+(*                                                                     *)
+(* The value on diagonal Δ is tracked from the diagonal-zero bit       *)
+(* (D0 = Xh | VN): diagonal steps cost 0 or 1, so it never decreases   *)
+(* and ends as D(n, m). It is also the band's minimum of value +       *)
+(* |Δ − diagonal| — that sum never rises toward diagonal Δ from either *)
+(* side — so the pair is provably beyond k the moment the tracked      *)
+(* value exceeds k, and the column loop stops there.                   *)
+(* ------------------------------------------------------------------ *)
+
+let diag_max_k = word_bits - 2
+
+(* Limbs per character: pattern bit p sits at padded position p + top,
+   and column j reads the 62-bit window at position j, two limbs wide. *)
+let diag_limbs ~n ~m ~top = (max (n + top) (m + word_bits) / word_bits) + 2
+
+(* Requires n, m > 0 and |n − m| ≤ k ≤ diag_max_k. Returns the distance,
+   or −1 when it exceeds k. *)
+let diag_columns peq scodes ~limbs ~top ~n ~m ~k =
+  let delta = n - m in
+  let w = ((delta + k) / 2) + top + 1 in
+  let hi = 1 lsl (w - 1) in
+  let rd = delta + top in
+  (* column 0: rows dmin..0 have vertical delta −1, rows ≥ 1 have +1 *)
+  let below = (1 lsl (top + 1)) - 1 in
+  let pv = ref (((1 lsl w) - 1) lxor below) and mv = ref below in
+  let score = ref (abs delta) and j = ref 0 and limb = ref 0 and sh = ref 0 in
+  while !j < m && !score <= k do
+    let base = (Char.code (Bytes.unsafe_get scodes !j) * limbs) + !limb in
+    let eq =
+      (Array.unsafe_get peq base lsr !sh)
+      lor ((Array.unsafe_get peq (base + 1) lsl (word_bits - !sh)) land all_ones)
+    in
+    let pvb = (!pv lsr 1) lor hi and mvb = (!mv lsr 1) land lnot hi in
+    let xv = eq lor mvb in
+    let xh = (((eq land pvb) + pvb) land all_ones) lxor pvb lor eq in
+    let ph = mvb lor (all_ones land lnot (xh lor pvb)) in
+    let mh = pvb land xh in
+    score := !score + 1 - (((xh lor mvb) lsr rd) land 1);
+    let ph = (ph lsl 1) lor 1 and mh = mh lsl 1 in
+    pv := mh lor (all_ones land lnot (xv lor ph));
+    mv := ph land xv;
+    incr j;
+    if !sh = word_bits - 1 then begin
+      sh := 0;
+      incr limb
+    end
+    else incr sh
+  done;
+  if !score <= k then !score else -1
+
+let diag_distance ?ws q s ~k =
+  let n = Sequence.length q and m = Sequence.length s in
+  let top = (k - (n - m)) / 2 (* −dmin *) in
+  let limbs = diag_limbs ~n ~m ~top in
+  let size = Alphabet.size (Sequence.alphabet q) * limbs in
+  let peq = match ws with None -> Array.make size 0 | Some ws -> Scratch.acquire ws size in
+  Array.fill peq 0 size 0;
+  let qcodes = Sequence.unsafe_codes q in
+  for i = 0 to n - 1 do
+    let p = i + top in
+    let idx = (Char.code (Bytes.unsafe_get qcodes i) * limbs) + (p / word_bits) in
+    Array.unsafe_set peq idx (Array.unsafe_get peq idx lor (1 lsl (p mod word_bits)))
+  done;
+  let d = diag_columns peq (Sequence.unsafe_codes s) ~limbs ~top ~n ~m ~k in
+  (match ws with None -> () | Some ws -> Scratch.release ws peq);
+  d
+
+(* Iterative deepening (edlib's outer loop): the one-word diagonal band
+   at k′ = min cap diag_max_k first, then Ukkonen block bands from two
+   words (or |n − m|), doubling until the band survives or the cap is
    reached. Each failed attempt costs O(m·k/62) block steps, so the
    total is within 2× of the last attempt — O(m·d/62) instead of the
    full sweep's O(m·n/62) whenever d << n, and crucially {e independent
    of how loose the cap is}: a caller cap of n/2 on a near-identical
-   pair still resolves in the one-word band. peq is filled once; each
-   attempt re-seeds only its initial band. *)
-let deepen peq pv mv bscore scodes ~nblocks ~n ~m ~cap =
-  let rec go k =
-    match banded_columns peq pv mv bscore scodes ~nblocks ~n ~m ~k0:k with
-    | Some _ as r -> r
-    | None -> if k >= cap then None else go (min cap (2 * k))
-  in
-  go (min cap (max word_bits (if n > m then n - m else m - n)))
+   pair still resolves in the first rung. peq is filled once for the
+   block bands; each attempt re-seeds only its initial band. Requires
+   n, m > 0 and |n − m| ≤ cap. *)
+let deepen ?ws q s ~cap =
+  let n = Sequence.length q and m = Sequence.length s in
+  let delta = abs (n - m) in
+  let k1 = min cap diag_max_k in
+  let d = if delta <= k1 then diag_distance ?ws q s ~k:k1 else -1 in
+  if d >= 0 then Some d
+  else if cap <= k1 then None
+  else
+    let first = if delta <= k1 then 2 * word_bits else max word_bits delta in
+    with_band_state ?ws q (fun peq pv mv bscore ~nblocks ->
+        let scodes = Sequence.unsafe_codes s in
+        let rec go k =
+          match banded_columns peq pv mv bscore scodes ~nblocks ~n ~m ~k0:k with
+          | Some _ as r -> r
+          | None -> if k >= cap then None else go (min cap (2 * k))
+        in
+        go (min cap first))
 
 let distance_upto ?ws ~k q s =
   if k < 0 then None
@@ -313,22 +410,17 @@ let distance_upto ?ws ~k q s =
     if n = 0 then if m <= k then Some m else None
     else if m = 0 then if n <= k then Some n else None
     else if (if n > m then n - m else m - n) > k then None
-    else
-      with_band_state ?ws q (fun peq pv mv bscore ~nblocks ->
-          deepen peq pv mv bscore (Sequence.unsafe_codes s) ~nblocks ~n ~m ~cap:k)
+    else deepen ?ws q s ~cap:k
 
 let distance ?ws q s =
   let n = Sequence.length q and m = Sequence.length s in
   if n = 0 then m
   else if m = 0 then n
   else
-    with_band_state ?ws q (fun peq pv mv bscore ~nblocks ->
-        (* d ≤ max n m always, so deepening at this cap cannot fail *)
-        match
-          deepen peq pv mv bscore (Sequence.unsafe_codes s) ~nblocks ~n ~m ~cap:(max n m)
-        with
-        | Some d -> d
-        | None -> invalid_arg "Myers.distance: band failed at cap")
+    (* d ≤ max n m always, so deepening at this cap cannot fail *)
+    match deepen ?ws q s ~cap:(max n m) with
+    | Some d -> d
+    | None -> invalid_arg "Myers.distance: band failed at cap"
 
 let search ~pattern ~text =
   let n = Sequence.length pattern in

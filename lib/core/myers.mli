@@ -27,14 +27,18 @@ val word_bits : int
 (** Cells advanced per word operation (62: native-int limbs). *)
 
 val distance : ?ws:Scratch.t -> Anyseq_bio.Sequence.t -> Anyseq_bio.Sequence.t -> int
-(** Global (Levenshtein) edit distance. Runs the banded core (Ukkonen
-    block cut-off) under iterative deepening — k starts at {!word_bits}
-    and doubles until the band survives — so the cost is O(m·d/62) block
-    steps for true distance d instead of the full sweep's O(m·n/62):
-    long low-divergence pairs skip almost every block. Bit-identical to
-    {!distance_full}. With [ws], the pattern masks, column vectors and
-    band scores come from the arena and the call is allocation-free in
-    steady state — the form the runtime's bit-parallel tier uses. *)
+(** Global (Levenshtein) edit distance. Runs iterative deepening: first
+    a one-word diagonal band at k = 60 (Hyyrö's banded bit-vector
+    algorithm: one word per column, exact for d ≤ k, dropped as soon as
+    the value on the final cell's diagonal exceeds k), then the Ukkonen
+    block band from k = 124 (from max 62 |n − m| when the lengths differ
+    by more than 60), doubling until the band survives — so the
+    cost is O(m·d/62) block steps for true distance d instead of the
+    full sweep's O(m·n/62): long low-divergence pairs skip almost every
+    block. Bit-identical to {!distance_full}. With [ws], the pattern
+    masks, column vectors and band scores come from the arena and the
+    call is allocation-free in steady state — the form the runtime's
+    bit-parallel tier uses. *)
 
 val distance_full : ?ws:Scratch.t -> Anyseq_bio.Sequence.t -> Anyseq_bio.Sequence.t -> int
 (** The pre-band full sweep: every block of every column, no cut-off.
@@ -49,10 +53,11 @@ val distance_upto :
     as soon as the bound is provably exceeded, which for hopeless pairs
     happens after a few columns (the band collapses) rather than after
     the full O(nm/62) sweep. Runs the same iterative deepening as
-    [distance] with [k] as the ceiling, so the cost is O(m·min(k,d)/62)
-    block steps regardless of how loose the cap is: a near-identical
-    pair under a generous cap still resolves in the one-word band.
-    [k < 0] is always [None]. *)
+    [distance] with [k] as the ceiling — a cap of at most 60 runs the
+    diagonal band alone — so the cost is O(m·min(k,d)/62) block steps
+    regardless of how loose the cap is: a near-identical pair under a
+    generous cap still resolves in the one-word band. [k < 0] is always
+    [None]. *)
 
 val search :
   pattern:Anyseq_bio.Sequence.t -> text:Anyseq_bio.Sequence.t -> int * int

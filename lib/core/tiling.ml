@@ -60,6 +60,22 @@ let create scheme mode ~tile ~query ~subject =
     best = Array.make (nti * ntj) no_best;
   }
 
+(* Tie-break: [Dp_linear] notes cells in one fixed order with
+   strictly-greater updates, so among equal scores it reports the first
+   cell of that order — row-major for [All_cells]; column m top-down,
+   then row n left to right, for [Last_row_col]. Tiles finish in another
+   order, so a cell of equal score replaces the best one exactly when
+   [Dp_linear] would have noted it first. *)
+let precedes (v : variant) ~m i j (b : ends) =
+  match v.best with
+  | Last_row_col ->
+      if j = m then b.subject_end <> m || i < b.query_end
+      else b.subject_end <> m && j < b.subject_end
+  | All_cells | Corner -> i < b.query_end || (i = b.query_end && j < b.subject_end)
+
+let improves v ~m score i j (b : ends) =
+  score > b.score || (score = b.score && precedes v ~m i j b)
+
 let compute_tile p ~ti ~tj =
   let { scheme; variant = v; query; subject; tile; _ } = p in
   let n = query.Sequence.len and m = subject.Sequence.len in
@@ -77,7 +93,7 @@ let compute_tile p ~ti ~tj =
   Array.blit top_e j0 erow 0 (w + 1);
   let best = ref { score = neg_inf; query_end = 0; subject_end = 0 } in
   let note score i j =
-    if score > !best.score then best := { score; query_end = i; subject_end = j }
+    if improves v ~m score i j !best then best := { score; query_end = i; subject_end = j }
   in
   let track_all = v.best = All_cells in
   let track_last = v.best = Last_row_col in
@@ -165,24 +181,27 @@ let finish p =
       (* The bottom-right tile deposited H(n, ·) into h_rows.(nti). *)
       { score = p.h_rows.(p.nti).(m); query_end = n; subject_end = m }
   | All_cells | Last_row_col ->
-      let tracker = Accessors.max_tracker () in
-      (* Border cells first (they are not owned by any tile). *)
+      let best = ref { score = neg_inf; query_end = 0; subject_end = 0 } in
+      let note score i j =
+        if improves p.variant ~m score i j !best then
+          best := { score; query_end = i; subject_end = j }
+      in
+      (* Border cells (they are not owned by any tile), then each tile's
+         own best. *)
       if p.variant.best = All_cells then begin
         for j = 0 to m do
-          tracker.Accessors.note p.h_rows.(0).(j) 0 j
+          note p.h_rows.(0).(j) 0 j
         done;
         for i = 0 to n do
-          tracker.Accessors.note p.h_cols.(0).(i) i 0
+          note p.h_cols.(0).(i) i 0
         done
       end
       else begin
-        tracker.Accessors.note p.h_rows.(0).(m) 0 m;
-        tracker.Accessors.note p.h_cols.(0).(n) n 0
+        note p.h_rows.(0).(m) 0 m;
+        note p.h_cols.(0).(n) n 0
       end;
-      Array.iter
-        (fun (b : ends) -> tracker.Accessors.note b.score b.query_end b.subject_end)
-        p.best;
-      tracker.Accessors.current ()
+      Array.iter (fun (b : ends) -> note b.score b.query_end b.subject_end) p.best;
+      !best
 
 let run_sequential p =
   (* Anti-diagonal tile order respects both dependencies. *)

@@ -12,23 +12,30 @@ type t = {
 
 let default_buffer = 65536
 
-(* Run-file line format mirrors the final TSV but with raw indices and
-   the identity carried in full precision, so a spill-and-merge pipeline
+(* Run files hold fixed-size binary records: five little-endian 64-bit
+   fields, the identity as its IEEE bits, so a spill-and-merge pipeline
    is bit-identical to an in-memory one. *)
-let write_run_line oc e =
-  Printf.fprintf oc "%d\t%d\t%d\t%h\t%d\n" e.a e.b e.score e.ident e.span
+let record_bytes = 40
 
-let parse_run_line line =
-  match String.split_on_char '\t' line with
-  | [ a; b; score; ident; span ] ->
-      {
-        a = int_of_string a;
-        b = int_of_string b;
-        score = int_of_string score;
-        ident = float_of_string ident;
-        span = int_of_string span;
-      }
-  | _ -> failwith ("Edges: corrupt run line: " ^ line)
+(* Records decoded per read while merging: memory per run stays one
+   chunk however long the run is (and a short run's own size). *)
+let chunk_records = 4096
+
+let encode buf off e =
+  Bytes.set_int64_le buf off (Int64.of_int e.a);
+  Bytes.set_int64_le buf (off + 8) (Int64.of_int e.b);
+  Bytes.set_int64_le buf (off + 16) (Int64.of_int e.score);
+  Bytes.set_int64_le buf (off + 24) (Int64.bits_of_float e.ident);
+  Bytes.set_int64_le buf (off + 32) (Int64.of_int e.span)
+
+let decode buf off =
+  {
+    a = Int64.to_int (Bytes.get_int64_le buf off);
+    b = Int64.to_int (Bytes.get_int64_le buf (off + 8));
+    score = Int64.to_int (Bytes.get_int64_le buf (off + 16));
+    ident = Int64.float_of_bits (Bytes.get_int64_le buf (off + 24));
+    span = Int64.to_int (Bytes.get_int64_le buf (off + 32));
+  }
 
 let create ?(buffer = default_buffer) ~tmp_dir () =
   if buffer < 1 then invalid_arg "Edges.create: buffer must be positive";
@@ -49,9 +56,15 @@ let spill t =
     Array.sort compare_edge slice;
     let path =
       Filename.concat t.tmp_dir
-        (Printf.sprintf "anyseq-net-run-%d-%d.tsv" (Unix.getpid ()) (List.length t.run_files))
+        (Printf.sprintf "anyseq-net-run-%d-%d.bin" (Unix.getpid ()) (List.length t.run_files))
     in
-    Out_channel.with_open_text path (fun oc -> Array.iter (write_run_line oc) slice);
+    let record = Bytes.create record_bytes in
+    Out_channel.with_open_bin path (fun oc ->
+        Array.iter
+          (fun e ->
+            encode record 0 e;
+            Out_channel.output_bytes oc record)
+          slice);
     t.run_files <- path :: t.run_files;
     t.len <- 0
   end
@@ -65,79 +78,131 @@ let add t e =
 
 type stats = { written : int; duplicates : int; spilled_runs : int }
 
-(* K-way merge: one cursor per source (each run file plus the sorted
-   residual buffer), repeatedly emitting the smallest head. Source count
-   is edges/buffer — small — so a linear scan per pop is fine. *)
-type source = { mutable head : edge option; next : unit -> edge option }
+(* A merge source: [items.(pos)] is its head while [pos < len]; [refill]
+   reloads [items] from the start and returns the new fill, 0 once the
+   source is exhausted. *)
+type cursor = {
+  items : edge array;
+  mutable pos : int;
+  mutable len : int;
+  refill : edge array -> int;
+}
 
+let advance c =
+  c.pos <- c.pos + 1;
+  if c.pos = c.len then begin
+    c.len <- c.refill c.items;
+    c.pos <- 0
+  end
+
+(* Fill [buf] from [ic]; short only at end of file. *)
+let rec read_full ic buf off =
+  if off = Bytes.length buf then off
+  else
+    match In_channel.input ic buf off (Bytes.length buf - off) with
+    | 0 -> off
+    | got -> read_full ic buf (off + got)
+
+let run_cursor ic =
+  let records = max 1 (min chunk_records (Int64.to_int (In_channel.length ic) / record_bytes)) in
+  let chunk = Bytes.create (records * record_bytes) in
+  let refill items =
+    let bytes = read_full ic chunk 0 in
+    if bytes mod record_bytes <> 0 then failwith "Edges: truncated run file";
+    let n = bytes / record_bytes in
+    for i = 0 to n - 1 do
+      items.(i) <- decode chunk (i * record_bytes)
+    done;
+    n
+  in
+  let items = Array.make records { a = 0; b = 0; score = 0; ident = 0.0; span = 0 } in
+  { items; pos = 0; len = refill items; refill }
+
+let buffer_cursor sorted =
+  { items = sorted; pos = 0; len = Array.length sorted; refill = (fun _ -> 0) }
+
+(* TSV lines are built in one buffer and written out in blocks. *)
+let flush_at = 65536
+
+(* Identities repeat (a pair's is a ratio of small integers), so each
+   distinct value is formatted once. The cache is keyed by the float's
+   bits: 0.0 and -0.0 print differently. *)
+let percent_text cache ident =
+  let key = Int64.bits_of_float ident in
+  match Hashtbl.find_opt cache key with
+  | Some text -> text
+  | None ->
+      let text = Printf.sprintf "%.2f" (100.0 *. ident) in
+      Hashtbl.add cache key text;
+      text
+
+let add_line buf cache ~name e =
+  Buffer.add_string buf (name e.a);
+  Buffer.add_char buf '\t';
+  Buffer.add_string buf (name e.b);
+  Buffer.add_char buf '\t';
+  Buffer.add_string buf (percent_text cache e.ident);
+  Buffer.add_char buf '\t';
+  Buffer.add_string buf (string_of_int e.span);
+  Buffer.add_char buf '\t';
+  Buffer.add_string buf (string_of_int e.score);
+  Buffer.add_char buf '\n'
+
+(* K-way merge over an array of cursors — each run file in spill order,
+   then the sorted residual buffer — repeatedly emitting the smallest
+   head. Source count is edges/buffer, small, so a linear scan per pop
+   is fine; on equal keys the earliest source wins, and a key equal to
+   the last one emitted is a duplicate. *)
 let finish t ~out ~name ~f =
   if t.spent then invalid_arg "Edges.finish: writer already finished";
   t.spent <- true;
   let spilled_runs = List.length t.run_files in
   let residual = Array.sub t.buffer 0 t.len in
   Array.sort compare_edge residual;
-  let channels = ref [] in
-  let sources =
-    let of_channel ic () =
-      match In_channel.input_line ic with
-      | None -> None
-      | Some line -> Some (parse_run_line line)
-    in
-    let buf_pos = ref 0 in
-    let of_buffer () =
-      if !buf_pos < Array.length residual then begin
-        let e = residual.(!buf_pos) in
-        incr buf_pos;
-        Some e
-      end
-      else None
-    in
-    List.map
-      (fun path ->
-        let ic = In_channel.open_text path in
-        channels := ic :: !channels;
-        of_channel ic)
-      (List.rev t.run_files)
-    @ [ of_buffer ]
-  in
-  let sources =
-    List.filter_map
-      (fun next -> match next () with None -> None | Some e -> Some { head = Some e; next })
-      sources
-  in
+  let channels = List.map In_channel.open_bin (List.rev t.run_files) in
   let written = ref 0 and duplicates = ref 0 in
-  let last = ref None in
-  Out_channel.with_open_text out (fun oc ->
-      let emit e =
-        match !last with
-        | Some prev when compare_edge prev e = 0 -> incr duplicates
-        | _ ->
-            last := Some e;
-            incr written;
-            Printf.fprintf oc "%s\t%s\t%.2f\t%d\t%d\n" (name e.a) (name e.b)
-              (100.0 *. e.ident) e.span e.score;
-            f e
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter In_channel.close channels;
+      List.iter (fun path -> try Sys.remove path with Sys_error _ -> ()) t.run_files;
+      t.run_files <- [])
+    (fun () ->
+      let cursors =
+        Array.of_list
+          (List.filter
+             (fun c -> c.len > 0)
+             (List.map run_cursor channels @ [ buffer_cursor residual ]))
       in
-      let rec loop sources =
-        match sources with
-        | [] -> ()
-        | _ ->
-            let best =
-              List.fold_left
-                (fun acc s ->
-                  match (acc, s.head) with
-                  | None, Some _ -> Some s
-                  | Some b, Some e when compare_edge e (Option.get b.head) < 0 -> Some s
-                  | _ -> acc)
-                None sources
-            in
-            let s = Option.get best in
-            emit (Option.get s.head);
-            s.head <- s.next ();
-            loop (List.filter (fun s -> s.head <> None) sources)
-      in
-      loop sources);
-  List.iter In_channel.close !channels;
-  List.iter (fun path -> try Sys.remove path with Sys_error _ -> ()) t.run_files;
-  t.run_files <- [];
+      let live = ref (Array.length cursors) in
+      let buf = Buffer.create (2 * flush_at) and cache = Hashtbl.create 256 in
+      let last_a = ref 0 and last_b = ref 0 and first = ref true in
+      Out_channel.with_open_text out (fun oc ->
+          while !live > 0 do
+            let best = ref 0 in
+            for i = 1 to !live - 1 do
+              let c = cursors.(i) and bc = cursors.(!best) in
+              if compare_edge c.items.(c.pos) bc.items.(bc.pos) < 0 then best := i
+            done;
+            let c = cursors.(!best) in
+            let e = c.items.(c.pos) in
+            if (not !first) && e.a = !last_a && e.b = !last_b then incr duplicates
+            else begin
+              first := false;
+              last_a := e.a;
+              last_b := e.b;
+              incr written;
+              add_line buf cache ~name e;
+              if Buffer.length buf >= flush_at then begin
+                Buffer.output_buffer oc buf;
+                Buffer.clear buf
+              end;
+              f e
+            end;
+            advance c;
+            if c.len = 0 then begin
+              Array.blit cursors (!best + 1) cursors !best (!live - !best - 1);
+              decr live
+            end
+          done;
+          Buffer.output_buffer oc buf));
   { written = !written; duplicates = !duplicates; spilled_runs }

@@ -3,8 +3,9 @@
 
     An edge is an undirected scored pair [(a, b)], [a < b]. {!add}
     buffers edges; when the buffer fills, it is sorted by [(a, b)] and
-    written to a temporary run file, so peak memory is one buffer
-    regardless of edge count. {!finish} merge-sorts the runs plus the
+    written to a temporary run file of fixed-size binary records, so
+    peak memory is one buffer regardless of edge count. {!finish}
+    merge-sorts the runs (read back in fixed-size chunks) plus the
     residual buffer into the output TSV, dropping exact [(a, b)]
     duplicates — the pipeline records each surviving hit from both
     endpoints' top-k heaps, so every edge arrives at most twice and the

@@ -12,6 +12,14 @@
       precisely when [k >= d] and [None] below it — the band may only
       ever prune rows that cannot hold the optimum.
 
+   1b. {b The one-word diagonal rung at its boundaries.} Caps 0, 1,
+      59, 60 (the rung alone) and 61, 62 (the block band), length gaps
+      k − 1, k and k + 1, lengths 1, 61–63, 124–126 and 200 plus empty
+      sides, on unrelated (early-exit), related, poly-A and tandem-repeat
+      pairs: [distance_upto] at the cap and at d − 1, d, d + 1 answers
+      [Some d] exactly when d ≤ k, with [distance] ≡ [distance_full] ≡
+      [Dp_linear].
+
    2. {b Cutoff-driven network ≡ uncapped network, byte for byte.} The
       similarity-network pipeline on star-family input, once with the
       score/identity/top-k floors converted into per-pair distance caps
@@ -92,6 +100,68 @@ let engine_identity () =
     !pairs;
   !checked
 
+(* ---- 1b: the one-word diagonal rung at its boundaries ----
+
+   Caps up to 60 run the diagonal band alone; 61 and 62 fall through to
+   the block band. Each pair is checked at the sweep's cap and at d − 1,
+   d and d + 1, so the distance sits exactly at the cap and one above
+   it, and every query goes through one shared arena, whose buffers come
+   back dirty. *)
+
+let rung_ks = [ 0; 1; 59; 60; 61; 62 ]
+let rung_lengths = [ 0; 1; 61; 62; 63; 124; 125; 126; 200 ]
+
+let tandem unit len = String.init len (fun i -> unit.[i mod String.length unit])
+
+let rung_sweep () =
+  let rng = Rng.create ~seed:20261018 in
+  let ws = Anyseq_core.Scratch.create () in
+  let checked = ref 0 in
+  let check_pair ~k q s =
+    let d = reference_distance q s in
+    let qs = dna q and ss = dna s in
+    let what = Printf.sprintf "n=%d m=%d k=%d d=%d" (String.length q) (String.length s) k d in
+    check ("full = Dp_linear, " ^ what) (Myers.distance_full ~ws qs ss = d);
+    check ("distance = Dp_linear, " ^ what) (Myers.distance ~ws qs ss = d);
+    List.iter
+      (fun k ->
+        let want = if d <= k then Some d else None in
+        check
+          (Printf.sprintf "upto ~k:%d iff d <= k, %s" k what)
+          (Myers.distance_upto ~ws ~k qs ss = want))
+      [ k; d - 1; d; d + 1 ];
+    incr checked
+  in
+  List.iter
+    (fun k ->
+      List.iter
+        (fun n ->
+          List.iter
+            (fun gap ->
+              List.iter
+                (fun m ->
+                  if gap >= 0 && m >= 0 then begin
+                    let q = random_dna rng n in
+                    (* unrelated: dropped within a few columns when k is small *)
+                    check_pair ~k q (random_dna rng m);
+                    (* related: a prefix of q or q extended, then about k/2 edits *)
+                    let base =
+                      if m <= n then String.sub q 0 m else q ^ random_dna rng (m - n)
+                    in
+                    let rate = if m = 0 then 0.0 else float_of_int (k / 2) /. float_of_int m in
+                    check_pair ~k q (mutate rng base rate);
+                    (* poly-A: d = |n − m| exactly *)
+                    check_pair ~k (String.make n 'A') (String.make m 'A');
+                    (* tandem repeats, the subject out of phase by one *)
+                    check_pair ~k (tandem "ACG" n) (tandem "CGA" m);
+                    check_pair ~k (tandem "AACGT" n) (tandem "AACGT" m)
+                  end)
+                [ n - gap; n + gap ])
+            [ k - 1; k; k + 1 ])
+        rung_lengths)
+    rung_ks;
+  !checked
+
 (* ---- 2: cutoff-driven network byte-identity ---- *)
 
 let families = 6
@@ -147,6 +217,7 @@ let read_bytes path = In_channel.with_open_text path In_channel.input_all
 
 let () =
   let n_pairs = engine_identity () in
+  let n_rung = rung_sweep () in
   let seqs = star_families ~seed:808 in
   let cut_out, cut = run_once ~tag:"cutoff" ~cutoff:true seqs in
   let unc_out, unc = run_once ~tag:"uncapped" ~cutoff:false seqs in
@@ -163,9 +234,9 @@ let () =
         = unc.Pipeline.pairs_aligned + unc.Pipeline.pairs_cutoff));
   if !failures = 0 then begin
     Printf.printf
-      "band-gate OK: %d pairs banded ≡ full ≡ Dp_linear; network with cutoffs ≡ without \
-       (%d aligned + %d cut off, %d edges)\n"
-      n_pairs cut.Pipeline.pairs_aligned cut.Pipeline.pairs_cutoff cut.Pipeline.edges;
+      "band-gate OK: %d pairs banded ≡ full ≡ Dp_linear; %d diagonal-rung boundary pairs; \
+       network with cutoffs ≡ without (%d aligned + %d cut off, %d edges)\n"
+      n_pairs n_rung cut.Pipeline.pairs_aligned cut.Pipeline.pairs_cutoff cut.Pipeline.edges;
     exit 0
   end
   else begin

@@ -158,6 +158,44 @@ let tiled_matches_oracle =
       (Tiling.score_only scheme mode ~tile ~query:(view q) ~subject:(view s)).T.score
       = expected)
 
+(* Equal-score end cells in different tiles: the tiled engine must
+   report the cell Dp_linear reports — the row-major first for local,
+   column m top-down and then row n for semiglobal. Tiles of one to four
+   cells put such ties across tile borders, and two-letter sequences
+   make ties common. *)
+let test_tiled_tie_break () =
+  List.iter
+    (fun (mode, tile, q, s, (score, qe, se)) ->
+      let qv = view (dna q) and sv = view (dna s) in
+      let want = { T.score; query_end = qe; subject_end = se } in
+      let name = Printf.sprintf "%s/%s tile %d" q s tile in
+      Alcotest.(check bool) (name ^ ": Dp_linear") true
+        (Dp_linear.score_only Scheme.paper_linear mode ~query:qv ~subject:sv = want);
+      Alcotest.(check bool) (name ^ ": tiled") true
+        (Tiling.score_only Scheme.paper_linear mode ~tile ~query:qv ~subject:sv = want))
+    [
+      (* local: the row-1 cell beats a row-2 cell of an earlier tile column *)
+      (T.Local, 2, "AC", "CCCCCA", (2, 1, 6));
+      (T.Local, 3, "CAC", "ACCCA", (4, 2, 5));
+      (* semiglobal: column m beats row n, across tiles and within the
+         corner tile *)
+      (T.Semiglobal, 2, "C", "CCCACAAC", (2, 1, 8));
+      (T.Semiglobal, 1, "ACAC", "AACCC", (5, 4, 5));
+    ]
+
+let tiled_ends_match_linear =
+  let ac = QCheck2.Gen.(string_size ~gen:(oneofl [ 'A'; 'C' ]) (1 -- 12)) in
+  Helpers.qtest ~count:400 "tiled end cells = dp_linear at tiny tiles"
+    QCheck2.Gen.(
+      tup4 (pair ac ac)
+        (oneofl (List.map snd Helpers.schemes_under_test))
+        (oneofl [ T.Local; T.Semiglobal ])
+        (1 -- 4))
+    (fun ((q, s), scheme, mode, tile) ->
+      let qv = view (dna q) and sv = view (dna s) in
+      Tiling.score_only scheme mode ~tile ~query:qv ~subject:sv
+      = Dp_linear.score_only scheme mode ~query:qv ~subject:sv)
+
 let banded_full_band_matches_oracle =
   Helpers.qtest ~count:150 "banded(full band) = oracle (global)"
     QCheck2.Gen.(tup2 (pair_gen ~max_len:40) (oneofl (List.map snd Helpers.schemes_under_test)))
@@ -413,6 +451,8 @@ let () =
           banded_full_band_matches_oracle;
           banded_lower_bound;
           staged_kernels_match_oracle;
+          Alcotest.test_case "tiled tie-break = dp_linear" `Quick test_tiled_tie_break;
+          tiled_ends_match_linear;
         ] );
       ( "invariants",
         [

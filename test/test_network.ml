@@ -184,6 +184,63 @@ let test_edges_spill_merge () =
           then Alcotest.failf "run file %s not cleaned up" f)
         (Sys.readdir tmp))
 
+(* Spilling changes nothing in the output: the same edges written through
+   a small buffer (many runs), through a buffer larger than one merge
+   chunk (runs read back in several chunks) and all in memory give
+   byte-identical TSVs and the same hook sequence. Identities include
+   values whose two-decimal rounding is delicate. *)
+let test_edges_spill_bytes () =
+  let rng = Rng.create ~seed:1213 in
+  let idents = [| 0.0; 1.0; 1.0 /. 3.0; 0.995; 0.00005; 0.12345; 0.875; 2.0 /. 3.0 |] in
+  (* distinct (a, b) keys in scrambled order *)
+  let edges =
+    Array.init 10_000 (fun i ->
+        let a = i / 50 in
+        {
+          Edges.a;
+          b = a + 1 + (3 * (i mod 50));
+          score = Rng.int rng 400 - 200;
+          ident =
+            (if Rng.int rng 2 = 0 then idents.(Rng.int rng (Array.length idents))
+             else Rng.float rng 1.0);
+          span = 100 + Rng.int rng 100;
+        })
+  in
+  for i = Array.length edges - 1 downto 1 do
+    let j = Rng.int rng (i + 1) in
+    let e = edges.(i) in
+    edges.(i) <- edges.(j);
+    edges.(j) <- e
+  done;
+  (* 600 edges arrive a second time, as the pipeline sends each hit from
+     both endpoints *)
+  let edges = Array.append edges (Array.sub edges 0 600) in
+  let run buffer =
+    let out = Filename.temp_file "anyseq_test_edges" ".tsv" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove out)
+      (fun () ->
+        let w = Edges.create ~buffer ~tmp_dir:(Filename.get_temp_dir_name ()) () in
+        Array.iter (Edges.add w) edges;
+        let seen = ref [] in
+        let st =
+          Edges.finish w ~out ~name:(Printf.sprintf "seq%d") ~f:(fun e -> seen := e :: !seen)
+        in
+        (In_channel.with_open_bin out In_channel.input_all, st, !seen))
+  in
+  let mem_tsv, mem_st, mem_seen = run (Array.length edges) in
+  Alcotest.(check int) "in-memory run spills nothing" 0 mem_st.Edges.spilled_runs;
+  List.iter
+    (fun buffer ->
+      let tsv, st, seen = run buffer in
+      let what = Printf.sprintf "buffer %d" buffer in
+      Alcotest.(check bool) (what ^ ": several runs") true (st.Edges.spilled_runs >= 2);
+      Alcotest.(check bool) (what ^ ": TSV bytes") true (tsv = mem_tsv);
+      Alcotest.(check int) (what ^ ": written") mem_st.Edges.written st.Edges.written;
+      Alcotest.(check int) (what ^ ": duplicates") mem_st.Edges.duplicates st.Edges.duplicates;
+      Alcotest.(check bool) (what ^ ": hook sequence") true (seen = mem_seen))
+    [ 64; 4500 ]
+
 (* ------------------------------------------------------------------ *)
 (* Components                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -342,7 +399,11 @@ let () =
           Alcotest.test_case "brute-force mode" `Quick test_index_brute_force_mode;
         ] );
       ("topk", [ Alcotest.test_case "order independent" `Quick test_topk_order_independent ]);
-      ("edges", [ Alcotest.test_case "spill and merge" `Quick test_edges_spill_merge ]);
+      ( "edges",
+        [
+          Alcotest.test_case "spill and merge" `Quick test_edges_spill_merge;
+          Alcotest.test_case "spilled TSV = in-memory TSV" `Quick test_edges_spill_bytes;
+        ] );
       ("components", [ Alcotest.test_case "summary" `Quick test_components ]);
       ( "pipeline",
         [
