@@ -912,7 +912,63 @@ let run_runtime cfg =
   Tablefmt.print t;
   Printf.printf "acceptance: diagonal rung = full sweep under cap %d: %s (%d mismatches)\n" cap
     (if !rung_bad = 0 then "PASS" else "FAIL")
-    !rung_bad
+    !rung_bad;
+
+  (* Wavefront tiles against the whole-pair native kernel on one 2.5 kbp
+     genome pair: both run the shared row sweeps, so a tile's ns/cell
+     should sit near the native one (the gap is tile set-up and border
+     traffic). Tiles run sequentially here, on one domain. *)
+  let t =
+    Tablefmt.create
+      ~title:"\nWavefront tiles vs native kernel -- one 2.5 kbp pair, tile 512, one domain"
+      ~columns:
+        [
+          ("gaps", Tablefmt.Left); ("mode", Tablefmt.Left); ("tile ns/cell", Tablefmt.Right);
+          ("native ns/cell", Tablefmt.Right); ("tile/native", Tablefmt.Right);
+        ]
+      ()
+  in
+  let trng = Anyseq_util.Rng.create ~seed:2500 in
+  let tq = Anyseq.Genome_gen.generate trng ~len:2500 () in
+  let ts = Anyseq.Genome_gen.mutate trng tq in
+  let tcells = float_of_int (Sequence.length tq * Sequence.length ts) in
+  let tws = Anyseq.Scratch.create () in
+  let tile_bad = ref 0 in
+  List.iter
+    (fun (gname, scheme) ->
+      List.iter
+        (fun (mname, mode) ->
+          let nk =
+            match Anyseq.Native_kernel.build scheme mode with
+            | Some nk -> nk
+            | None -> failwith "native kernel must build for the paper schemes"
+          in
+          let native () = nk.Anyseq.Native_kernel.score ~ws:tws ~query:tq ~subject:ts in
+          let tiled () =
+            let plan =
+              Anyseq.Tiling.create ~ws:tws scheme mode ~tile:512 ~query:(Sequence.view tq)
+                ~subject:(Sequence.view ts)
+            in
+            let ends = Anyseq.Tiling.run_sequential plan in
+            Anyseq.Tiling.release plan;
+            ends
+          in
+          if tiled () <> native () then incr tile_bad;
+          let ns f = Timer.best_of ~repeats:5 f *. 1e9 /. tcells in
+          let tile_ns = ns tiled and native_ns = ns native in
+          Tablefmt.add_row t
+            [
+              gname; mname; Tablefmt.cell_float ~decimals:2 tile_ns;
+              Tablefmt.cell_float ~decimals:2 native_ns; Tablefmt.cell_ratio tile_ns native_ns;
+            ];
+          record_result (Printf.sprintf "runtime/tile_ns_per_cell_%s_%s" gname mname) tile_ns;
+          record_result (Printf.sprintf "runtime/native_ns_per_cell_%s_%s" gname mname) native_ns)
+        [ ("global", T.Global); ("semiglobal", T.Semiglobal); ("local", T.Local) ])
+    [ ("linear", Scheme.paper_linear); ("affine", Scheme.paper_affine) ];
+  Tablefmt.print t;
+  Printf.printf "acceptance: tiled ends = native ends: %s (%d mismatches)\n"
+    (if !tile_bad = 0 then "PASS" else "FAIL")
+    !tile_bad
 
 (* ---- trace overhead (observability acceptance) ---- *)
 

@@ -8,9 +8,21 @@ type plan = {
   variant : variant;
   query : Sequence.view;
   subject : Sequence.view;
+  n : int;
+  m : int;
   tile : int;
   nti : int;
   ntj : int;
+  ws : Scratch.t option; (* the arena the buffers below came from *)
+  (* What the row sweeps read: the folded substitution table, both
+     sequences packed one code per byte, and the gap costs. *)
+  sub : int array;
+  asize : int;
+  qcodes : Bytes.t;
+  scodes : Bytes.t;
+  affine : bool;
+  ge : int;
+  goe : int;
   (* Border stripes: h_rows.(ti) is row i = ti·tile of H (length m+1);
      e_rows the matching E row; h_cols.(tj)/f_cols.(tj) the column
      j = tj·tile of H and F (length n+1). *)
@@ -18,47 +30,94 @@ type plan = {
   e_rows : int array array;
   h_cols : int array array;
   f_cols : int array array;
-  best : ends array; (* one slot per tile, written by its owner only *)
+  (* Per tile, written by its owner only (every tile kernel writes its
+     slot): score, query end, subject end of its own best cell. *)
+  best : int array;
+  (* Row-best accumulators of the clamped sweeps, one pair per tile row:
+     tiles of one row depend on each other, so they never run at once. *)
+  row_best : int ref array;
+  row_best_j : int ref array;
 }
 
 let tile_rows p = p.nti
 let tile_cols p = p.ntj
 
-let create scheme mode ~tile ~query ~subject =
+let create ?ws scheme mode ~tile ~query ~subject =
   if tile <= 0 then invalid_arg "Tiling.create: tile size must be positive";
   let n = query.Sequence.len and m = subject.Sequence.len in
   let v = variant_of_mode mode in
   let go = Gaps.open_cost scheme.Scheme.gap and ge = Gaps.extend_cost scheme.Scheme.gap in
   let nti = max 1 ((n + tile - 1) / tile) in
   let ntj = max 1 ((m + tile - 1) / tile) in
-  let h_rows = Array.init (nti + 1) (fun _ -> Array.make (m + 1) neg_inf) in
-  let e_rows = Array.init (nti + 1) (fun _ -> Array.make (m + 1) neg_inf) in
-  let h_cols = Array.init (ntj + 1) (fun _ -> Array.make (n + 1) neg_inf) in
-  let f_cols = Array.init (ntj + 1) (fun _ -> Array.make (n + 1) neg_inf) in
+  (* Arena buffers come back dirty and longer than asked: every one is
+     filled over the prefix it is used for. *)
+  let ints len =
+    match ws with Some ws -> Scratch.acquire ws len | None -> Array.make len 0
+  in
+  let codes (view : Sequence.view) =
+    let len = view.Sequence.len in
+    let b = match ws with Some ws -> Scratch.acquire_bytes ws len | None -> Bytes.create len in
+    for k = 0 to len - 1 do
+      Bytes.unsafe_set b k (Char.unsafe_chr (view.Sequence.at k))
+    done;
+    b
+  in
+  let stripe len =
+    let a = ints len in
+    Array.fill a 0 len neg_inf;
+    a
+  in
+  let h_rows = Array.init (nti + 1) (fun _ -> stripe (m + 1)) in
+  let e_rows = Array.init (nti + 1) (fun _ -> stripe (m + 1)) in
+  let h_cols = Array.init (ntj + 1) (fun _ -> stripe (n + 1)) in
+  let f_cols = Array.init (ntj + 1) (fun _ -> stripe (n + 1)) in
   (* Row 0 and column 0 of the DP matrix. *)
   for j = 0 to m do
-    h_rows.(0).(j) <- (if v.free_start || j = 0 then 0 else -(go + (j * ge)));
-    e_rows.(0).(j) <- neg_inf
+    h_rows.(0).(j) <- (if v.free_start || j = 0 then 0 else -(go + (j * ge)))
   done;
   for i = 0 to n do
-    h_cols.(0).(i) <- (if v.free_start || i = 0 then 0 else -(go + (i * ge)));
-    f_cols.(0).(i) <- neg_inf
+    h_cols.(0).(i) <- (if v.free_start || i = 0 then 0 else -(go + (i * ge)))
   done;
-  let no_best = { score = neg_inf; query_end = 0; subject_end = 0 } in
+  let sub, asize = Row_sweep.fold_subst scheme in
   {
     scheme;
     variant = v;
     query;
     subject;
+    n;
+    m;
     tile;
     nti;
     ntj;
+    ws;
+    sub;
+    asize;
+    qcodes = codes query;
+    scodes = codes subject;
+    affine = Gaps.is_affine scheme.Scheme.gap;
+    ge;
+    goe = go + ge;
     h_rows;
     e_rows;
     h_cols;
     f_cols;
-    best = Array.make (nti * ntj) no_best;
+    best = ints (3 * nti * ntj);
+    row_best = Array.init nti (fun _ -> ref 0);
+    row_best_j = Array.init nti (fun _ -> ref 0);
   }
+
+let release p =
+  match p.ws with
+  | None -> ()
+  | Some ws ->
+      let give = Scratch.release ws in
+      Array.iter give p.h_rows;
+      Array.iter give p.e_rows;
+      Array.iter give p.h_cols;
+      Array.iter give p.f_cols;
+      give p.best;
+      Scratch.release_bytes ws p.qcodes;
+      Scratch.release_bytes ws p.scodes
 
 (* Tie-break: [Dp_linear] notes cells in one fixed order with
    strictly-greater updates, so among equal scores it reports the first
@@ -76,106 +135,88 @@ let precedes (v : variant) ~m i j (b : ends) =
 let improves v ~m score i j (b : ends) =
   score > b.score || (score = b.score && precedes v ~m i j b)
 
+let store_best p ~ti ~tj score i j =
+  let k = 3 * ((ti * p.ntj) + tj) in
+  p.best.(k) <- score;
+  p.best.(k + 1) <- i;
+  p.best.(k + 2) <- j
+
+let set_best p ~ti ~tj (e : ends) = store_best p ~ti ~tj e.score e.query_end e.subject_end
+
+(* A tile owns columns j0+1..j1 of its bottom stripes: it copies the top
+   stripe's segment there and sweeps its rows in place with the native
+   row sweeps, so after row i the segment holds H(i, ·) (and E(i, ·)).
+   Column j0 of the bottom stripes belongs to the left neighbour, which
+   writes H(i1, j0) as its own last column; writing it here too would
+   race with same-diagonal tiles. *)
 let compute_tile p ~ti ~tj =
-  let { scheme; variant = v; query; subject; tile; _ } = p in
-  let n = query.Sequence.len and m = subject.Sequence.len in
-  let sigma = Scheme.subst_score scheme in
-  let go = Gaps.open_cost scheme.Scheme.gap and ge = Gaps.extend_cost scheme.Scheme.gap in
+  let { sub; asize; qcodes; scodes; ge; goe; tile; n; m; variant = v; _ } = p in
   let i0 = ti * tile and j0 = tj * tile in
   let i1 = min n (i0 + tile) and j1 = min m (j0 + tile) in
-  let top_h = p.h_rows.(ti) and top_e = p.e_rows.(ti) in
-  let left_h = p.h_cols.(tj) and left_f = p.f_cols.(tj) in
   let w = j1 - j0 in
-  (* Local rolling rows over the tile's columns j0+1..j1 (slot j-j0). *)
-  let hrow = Array.make (w + 1) neg_inf in
-  let erow = Array.make (w + 1) neg_inf in
-  Array.blit top_h j0 hrow 0 (w + 1);
-  Array.blit top_e j0 erow 0 (w + 1);
-  let best = ref { score = neg_inf; query_end = 0; subject_end = 0 } in
-  let note score i j =
-    if improves v ~m score i j !best then best := { score; query_end = i; subject_end = j }
-  in
-  let track_all = v.best = All_cells in
-  let track_last = v.best = Last_row_col in
-  let scodes = Array.init w (fun k -> subject.Sequence.at (j0 + k)) in
-  let simple =
-    if track_all || track_last || v.clamp_zero then None
-    else Anyseq_bio.Substitution.as_simple scheme.Scheme.subst
-  in
-  (match simple with
-  | Some (match_, mismatch) ->
-      (* Specialized corner-rule kernel (see Dp_linear.sweep_fast); the
-         rolling state rides in tail-call arguments to stay in registers. *)
-      let goe = go + ge in
-      let right_h = p.h_cols.(tj + 1) and right_f = p.f_cols.(tj + 1) in
-      let store_right = j1 = (tj + 1) * tile || j1 = m in
-      for i = i0 + 1 to i1 do
-        let q = query.Sequence.at (i - 1) in
-        let hdiag0 = Array.unsafe_get hrow 0 in
-        let border = left_h.(i) in
-        Array.unsafe_set hrow 0 border;
-        let rec go k hdiag f hleft =
-          if k > w then f
-          else begin
-            let s = Array.unsafe_get scodes (k - 1) in
-            let hk = Array.unsafe_get hrow k in
-            let e_ext = Array.unsafe_get erow k - ge and e_opn = hk - goe in
-            let e = if e_ext >= e_opn then e_ext else e_opn in
-            let f_ext = f - ge and f_opn = hleft - goe in
-            let fv = if f_ext >= f_opn then f_ext else f_opn in
-            let diag = hdiag + if q = s then match_ else mismatch in
-            let bestv = if diag >= e then diag else e in
-            let bestv = if bestv >= fv then bestv else fv in
-            Array.unsafe_set hrow k bestv;
-            Array.unsafe_set erow k e;
-            go (k + 1) hk fv bestv
-          end
-        in
-        let final_f = go 1 hdiag0 left_f.(i) border in
-        if store_right then begin
-          right_h.(i) <- hrow.(w);
-          right_f.(i) <- final_f
-        end
-      done
-  | None ->
-      for i = i0 + 1 to i1 do
-        let q = query.Sequence.at (i - 1) in
-        let hdiag = ref hrow.(0) in
-        hrow.(0) <- left_h.(i);
-        let f = ref left_f.(i) in
-        for j = j0 + 1 to j1 do
-          let k = j - j0 in
-          let s = Array.unsafe_get scodes (k - 1) in
-          let e = max (erow.(k) - ge) (hrow.(k) - go - ge) in
-          let fv = max (!f - ge) (hrow.(k - 1) - go - ge) in
-          let diag = !hdiag + sigma q s in
-          let bestv = max diag (max e fv) in
-          let bestv = if v.clamp_zero then max bestv 0 else bestv in
-          hdiag := hrow.(k);
-          hrow.(k) <- bestv;
-          erow.(k) <- e;
-          f := fv;
-          if track_all || (track_last && (j = m || i = n)) then note bestv i j
-        done;
-        (* Right border of this tile = column j1. *)
-        if j1 = (tj + 1) * tile || j1 = m then begin
-          p.h_cols.(tj + 1).(i) <- hrow.(w);
-          p.f_cols.(tj + 1).(i) <- !f
-        end
-      done);
-  (* Bottom border = row i1.  The corner column j0 belongs to the left
-     neighbour (it writes H(i1, j0) as its own last column); writing it here
-     too would race with same-diagonal tiles and, for E, deposit a stale
-     value — so tiles other than the leftmost start the blit at j0+1. *)
-  begin
-    let src = if tj = 0 then 0 else 1 in
-    Array.blit hrow src p.h_rows.(ti + 1) (j0 + src) (w + 1 - src);
-    Array.blit erow 1 p.e_rows.(ti + 1) (j0 + 1) w
-  end;
-  p.best.((ti * p.ntj) + tj) <- !best
+  let top_h = p.h_rows.(ti) and top_e = p.e_rows.(ti) in
+  let hrow = p.h_rows.(ti + 1) and erow = p.e_rows.(ti + 1) in
+  let left_h = p.h_cols.(tj) and left_f = p.f_cols.(tj) in
+  let right_h = p.h_cols.(tj + 1) and right_f = p.f_cols.(tj + 1) in
+  Array.blit top_h (j0 + 1) hrow (j0 + 1) w;
+  Array.blit top_e (j0 + 1) erow (j0 + 1) w;
+  let row_best = p.row_best.(ti) and row_best_j = p.row_best_j.(ti) in
+  (* The tile's own best cell, in [Dp_linear]'s note order: row-major
+     for All_cells; column m top-down, then row n, for Last_row_col. *)
+  let b_sc = ref neg_inf and b_i = ref 0 and b_j = ref 0 in
+  let track_col = v.best = Last_row_col && j1 = m && w > 0 in
+  for i = i0 + 1 to i1 do
+    let qrow = Char.code (Bytes.unsafe_get qcodes (i - 1)) * asize in
+    let hdiag = if i = i0 + 1 then top_h.(j0) else left_h.(i - 1) in
+    let hleft = left_h.(i) in
+    row_best := neg_inf;
+    (if p.affine then
+       right_f.(i) <-
+         (if v.clamp_zero then
+            Row_sweep.aff_row_clamp sub scodes hrow erow ge goe j1 row_best row_best_j (j0 + 1)
+              hdiag left_f.(i) hleft qrow
+          else
+            Row_sweep.aff_row sub scodes hrow erow ge goe j1 (j0 + 1) hdiag left_f.(i) hleft qrow)
+     else begin
+       (* Linear gaps carry no E or F: H bounds both, so E(i, j) =
+          H(i−1, j) − ge and F(i, j) = H(i, j−1) − ge. The stripes still
+          hold them, for kernels that read the raw borders. *)
+       if i = i1 then
+         for j = j0 + 1 to j1 do
+           erow.(j) <- hrow.(j) - ge
+         done;
+       if v.clamp_zero then
+         Row_sweep.lin_row_clamp sub scodes hrow ge j1 row_best row_best_j (j0 + 1) hdiag hleft
+           qrow
+       else Row_sweep.lin_row sub scodes hrow ge j1 (j0 + 1) hdiag hleft qrow;
+       right_f.(i) <-
+         (if w = 0 then left_f.(i) else (if w = 1 then hleft else hrow.(j1 - 1)) - ge)
+     end);
+    right_h.(i) <- (if w = 0 then hleft else hrow.(j1));
+    if !row_best > !b_sc then begin
+      b_sc := !row_best;
+      b_i := i;
+      b_j := !row_best_j
+    end;
+    if track_col && hrow.(m) > !b_sc then begin
+      b_sc := hrow.(m);
+      b_i := i;
+      b_j := m
+    end
+  done;
+  if tj = 0 then hrow.(0) <- left_h.(i1);
+  if v.best = Last_row_col && i1 = n && i1 > i0 then
+    for j = j0 + 1 to j1 do
+      if hrow.(j) > !b_sc then begin
+        b_sc := hrow.(j);
+        b_i := n;
+        b_j := j
+      end
+    done;
+  store_best p ~ti ~tj !b_sc !b_i !b_j
 
 let finish p =
-  let n = p.query.Sequence.len and m = p.subject.Sequence.len in
+  let n = p.n and m = p.m in
   match p.variant.best with
   | Corner ->
       (* The bottom-right tile deposited H(n, ·) into h_rows.(nti). *)
@@ -200,7 +241,9 @@ let finish p =
         note p.h_rows.(0).(m) 0 m;
         note p.h_cols.(0).(n) n 0
       end;
-      Array.iter (fun (b : ends) -> note b.score b.query_end b.subject_end) p.best;
+      for k = 0 to (p.nti * p.ntj) - 1 do
+        note p.best.(3 * k) p.best.((3 * k) + 1) p.best.((3 * k) + 2)
+      done;
       !best
 
 let run_sequential p =
@@ -237,8 +280,5 @@ let raw p =
   }
 
 let tile_span p ~ti ~tj =
-  let n = p.query.Sequence.len and m = p.subject.Sequence.len in
   let i0 = ti * p.tile and j0 = tj * p.tile in
-  (i0, min n (i0 + p.tile), j0, min m (j0 + p.tile))
-
-let set_best p ~ti ~tj ends = p.best.((ti * p.ntj) + tj) <- ends
+  (i0, min p.n (i0 + p.tile), j0, min p.m (j0 + p.tile))

@@ -8,17 +8,31 @@
     relaxed as soon as tiles [(ti−1, tj)] and [(ti, tj−1)] are done, which
     is exactly the dependency structure the wavefront schedulers exploit;
     [compute_tile] is safe to call concurrently for independent tiles
-    because each writes disjoint border segments and its own best-slot. *)
+    because each writes disjoint border segments and its own best-slot.
+
+    Each tile runs the same native row sweeps as the whole-pair kernels
+    ({!Row_sweep}), in place on its segment of the bottom stripes, and
+    allocates nothing. *)
 
 type plan
 
 val create :
+  ?ws:Scratch.t ->
   Anyseq_scoring.Scheme.t ->
   Types.mode ->
   tile:int ->
   query:Anyseq_bio.Sequence.view ->
   subject:Anyseq_bio.Sequence.view ->
   plan
+(** With [ws], the border stripes, packed codes and per-tile results come
+    from that arena; give them back with {!release}. The plan never
+    touches [ws] after [create] and before [release], so its tiles may
+    run on other domains while the arena's owner waits. *)
+
+val release : plan -> unit
+(** Return the buffers [create ?ws] took from the arena, once (a no-op
+    for a plan made without one). The plan and its {!raw} stripes must
+    not be used afterwards. *)
 
 val tile_rows : plan -> int
 (** Number of tile rows (≥ 1 even for empty sequences). *)

@@ -6,7 +6,8 @@ type t = {
   tmp_dir : string;
   buffer : edge array;  (** fixed capacity; [len] is the fill level *)
   mutable len : int;
-  mutable run_files : string list;  (** newest first *)
+  mutable run_files : string list;  (** every run file not yet removed, newest first *)
+  mutable next_run : int;  (** numbers run file names *)
   mutable spent : bool;
 }
 
@@ -44,28 +45,38 @@ let create ?(buffer = default_buffer) ~tmp_dir () =
     buffer = Array.make buffer { a = 0; b = 0; score = 0; ident = 0.0; span = 0 };
     len = 0;
     run_files = [];
+    next_run = 0;
     spent = false;
   }
 
 let buffered t = t.len
 let runs t = List.length t.run_files
 
+(* A new run file's path, registered before the file is created so that
+   [finish] removes it whatever happens. *)
+let new_run t =
+  let path =
+    Filename.concat t.tmp_dir
+      (Printf.sprintf "anyseq-net-run-%d-%d.bin" (Unix.getpid ()) t.next_run)
+  in
+  t.next_run <- t.next_run + 1;
+  t.run_files <- path :: t.run_files;
+  path
+
+(* Create the run file at [path]; [f emit] writes its records, in order,
+   through [emit]. *)
+let write_run path f =
+  let record = Bytes.create record_bytes in
+  Out_channel.with_open_bin path (fun oc ->
+      f (fun e ->
+          encode record 0 e;
+          Out_channel.output_bytes oc record))
+
 let spill t =
   if t.len > 0 then begin
     let slice = Array.sub t.buffer 0 t.len in
     Array.sort compare_edge slice;
-    let path =
-      Filename.concat t.tmp_dir
-        (Printf.sprintf "anyseq-net-run-%d-%d.bin" (Unix.getpid ()) (List.length t.run_files))
-    in
-    let record = Bytes.create record_bytes in
-    Out_channel.with_open_bin path (fun oc ->
-        Array.iter
-          (fun e ->
-            encode record 0 e;
-            Out_channel.output_bytes oc record)
-          slice);
-    t.run_files <- path :: t.run_files;
+    write_run (new_run t) (fun emit -> Array.iter emit slice);
     t.len <- 0
   end
 
@@ -148,61 +159,106 @@ let add_line buf cache ~name e =
   Buffer.add_string buf (string_of_int e.score);
   Buffer.add_char buf '\n'
 
-(* K-way merge over an array of cursors — each run file in spill order,
-   then the sorted residual buffer — repeatedly emitting the smallest
-   head. Source count is edges/buffer, small, so a linear scan per pop
-   is fine; on equal keys the earliest source wins, and a key equal to
-   the last one emitted is a duplicate. *)
+(* Stable k-way merge: repeatedly emit the smallest head; on equal keys
+   the earliest source wins. At most [merge_fan_in] + 1 sources, so a
+   linear scan per pop is fine. *)
+let merge sources emit =
+  let cursors = Array.of_list (List.filter (fun c -> c.len > 0) sources) in
+  let live = ref (Array.length cursors) in
+  while !live > 0 do
+    let best = ref 0 in
+    for i = 1 to !live - 1 do
+      let c = cursors.(i) and bc = cursors.(!best) in
+      if compare_edge c.items.(c.pos) bc.items.(bc.pos) < 0 then best := i
+    done;
+    let c = cursors.(!best) in
+    emit c.items.(c.pos);
+    advance c;
+    if c.len = 0 then begin
+      Array.blit cursors (!best + 1) cursors !best (!live - !best - 1);
+      decr live
+    end
+  done
+
+(* Runs open at once: one descriptor and one read chunk each. *)
+let merge_fan_in = 32
+
+(* Open [paths] one by one inside the protected region, so that a failed
+   open (EMFILE) still closes the runs opened before it. *)
+let with_runs paths f =
+  let opened = ref [] in
+  Fun.protect
+    ~finally:(fun () -> List.iter In_channel.close !opened)
+    (fun () ->
+      f
+        (List.map
+           (fun path ->
+             let ic = In_channel.open_bin path in
+             opened := ic :: !opened;
+             run_cursor ic)
+           paths))
+
+let remove path = try Sys.remove path with Sys_error _ -> ()
+
+let rec groups k = function
+  | [] -> []
+  | l ->
+      let rec take n acc = function
+        | x :: rest when n > 0 -> take (n - 1) (x :: acc) rest
+        | rest -> (List.rev acc, rest)
+      in
+      let g, rest = take k [] l in
+      g :: groups k rest
+
+(* Merge passes over consecutive groups of at most [merge_fan_in] runs,
+   in spill order, until one pass can take them all. Each merged run
+   keeps its group's place in that order and every record (duplicates
+   included), so the final pass sees the same sequence of edges as a
+   single merge over all runs would. *)
+let rec reduce t runs =
+  if List.length runs <= merge_fan_in then runs
+  else
+    reduce t
+      (List.map
+         (fun group ->
+           let path = new_run t in
+           with_runs group (fun cursors -> write_run path (merge cursors));
+           List.iter remove group;
+           path)
+         (groups merge_fan_in runs))
+
+(* The final pass merges the runs, then the sorted residual buffer; a
+   key equal to the last one emitted is a duplicate. *)
 let finish t ~out ~name ~f =
   if t.spent then invalid_arg "Edges.finish: writer already finished";
   t.spent <- true;
   let spilled_runs = List.length t.run_files in
   let residual = Array.sub t.buffer 0 t.len in
   Array.sort compare_edge residual;
-  let channels = List.map In_channel.open_bin (List.rev t.run_files) in
   let written = ref 0 and duplicates = ref 0 in
   Fun.protect
     ~finally:(fun () ->
-      List.iter In_channel.close channels;
-      List.iter (fun path -> try Sys.remove path with Sys_error _ -> ()) t.run_files;
+      List.iter remove t.run_files;
       t.run_files <- [])
     (fun () ->
-      let cursors =
-        Array.of_list
-          (List.filter
-             (fun c -> c.len > 0)
-             (List.map run_cursor channels @ [ buffer_cursor residual ]))
-      in
-      let live = ref (Array.length cursors) in
+      let runs = reduce t (List.rev t.run_files) in
       let buf = Buffer.create (2 * flush_at) and cache = Hashtbl.create 256 in
       let last_a = ref 0 and last_b = ref 0 and first = ref true in
       Out_channel.with_open_text out (fun oc ->
-          while !live > 0 do
-            let best = ref 0 in
-            for i = 1 to !live - 1 do
-              let c = cursors.(i) and bc = cursors.(!best) in
-              if compare_edge c.items.(c.pos) bc.items.(bc.pos) < 0 then best := i
-            done;
-            let c = cursors.(!best) in
-            let e = c.items.(c.pos) in
-            if (not !first) && e.a = !last_a && e.b = !last_b then incr duplicates
-            else begin
-              first := false;
-              last_a := e.a;
-              last_b := e.b;
-              incr written;
-              add_line buf cache ~name e;
-              if Buffer.length buf >= flush_at then begin
-                Buffer.output_buffer oc buf;
-                Buffer.clear buf
-              end;
-              f e
-            end;
-            advance c;
-            if c.len = 0 then begin
-              Array.blit cursors (!best + 1) cursors !best (!live - !best - 1);
-              decr live
-            end
-          done;
+          with_runs runs (fun cursors ->
+              merge (cursors @ [ buffer_cursor residual ]) (fun e ->
+                  if (not !first) && e.a = !last_a && e.b = !last_b then incr duplicates
+                  else begin
+                    first := false;
+                    last_a := e.a;
+                    last_b := e.b;
+                    incr written;
+                    add_line buf cache ~name e;
+                    if Buffer.length buf >= flush_at then begin
+                      Buffer.output_buffer oc buf;
+                      Buffer.clear buf
+                    end;
+                    f e
+                  end));
           Buffer.output_buffer oc buf));
   { written = !written; duplicates = !duplicates; spilled_runs }

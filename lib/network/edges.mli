@@ -1,15 +1,15 @@
-(** Edge-list spill writer: bounded memory, sorted runs on disk, one
-    k-way merge into the final TSV.
+(** Edge-list spill writer: bounded memory, sorted runs on disk, a
+    k-way merge of bounded fan-in into the final TSV.
 
     An edge is an undirected scored pair [(a, b)], [a < b]. {!add}
     buffers edges; when the buffer fills, it is sorted by [(a, b)] and
     written to a temporary run file of fixed-size binary records, so
     peak memory is one buffer regardless of edge count. {!finish}
-    merge-sorts the runs (read back in fixed-size chunks) plus the
-    residual buffer into the output TSV, dropping exact [(a, b)]
-    duplicates — the pipeline records each surviving hit from both
-    endpoints' top-k heaps, so every edge arrives at most twice and the
-    merge keeps the first.
+    merge-sorts the runs (read back in fixed-size chunks, at most
+    {!merge_fan_in} at a time) plus the residual buffer into the output
+    TSV, dropping exact [(a, b)] duplicates — the pipeline records each
+    surviving hit from both endpoints' top-k heaps, so every edge arrives
+    at most twice and the merge keeps the first.
 
     The TSV is EFI-filterblast-compatible in spirit: one edge per line,
     [query-id TAB subject-id TAB percent-identity TAB length TAB score],
@@ -42,6 +42,10 @@ val runs : t -> int
 (** Run files spilled so far. *)
 
 type stats = { written : int; duplicates : int; spilled_runs : int }
+
+val merge_fan_in : int
+(** At most this many run files are open at once: {!finish} merges more
+    runs than that in passes, through intermediate run files. *)
 
 val finish :
   t -> out:string -> name:(int -> string) -> f:(edge -> unit) -> stats

@@ -340,16 +340,17 @@ let run_simd t results (cfg : Config.t) group =
       List.iteri (fun i p -> score_outcome results p ends.(i)) live)
 
 (* Wavefront tier: tiles of all pairs of the chunk share one dynamic
-   queue. The scheduler's worker domains manage their own buffers, so the
-   chunk's workspace is not threaded in. *)
+   queue. The plans' border stripes come from the chunk's workspace; the
+   tiles sweep them in place on the scheduler's worker domains, which
+   allocate nothing of their own. *)
 let run_wavefront t results (cfg : Config.t) group =
-  dispatch_chunks t results group (fun _ws live ->
+  dispatch_chunks t results group (fun ws live ->
       let pairs = Array.of_list (List.map (fun p -> (p.p_q, p.p_s)) live) in
       Metrics.add (ctr t "tier_wavefront") (List.length live);
       let ends =
         Trace.with_span "backend.wavefront"
           ~attrs:[ ("jobs", Trace.Int (Array.length pairs)); ("domains", Trace.Int t.domains) ]
-          (fun () -> Scheduler.score_many ~domains:t.domains cfg.scheme cfg.mode pairs)
+          (fun () -> Scheduler.score_many ~ws ~domains:t.domains cfg.scheme cfg.mode pairs)
       in
       List.iteri (fun i p -> score_outcome results p ends.(i)) live)
 

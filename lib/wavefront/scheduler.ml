@@ -74,8 +74,8 @@ let run_dynamic_many ?(impl = Workqueue.Locked) ~domains ~grids ~compute () =
   in
   Domain_pool.run ~domains worker
 
-let make_plan ?(tile = 512) scheme mode ~query ~subject =
-  Tiling.create scheme mode ~tile ~query:(Sequence.view query)
+let make_plan ?ws ?(tile = 512) scheme mode ~query ~subject =
+  Tiling.create ?ws scheme mode ~tile ~query:(Sequence.view query)
     ~subject:(Sequence.view subject)
 
 let score_parallel ?impl ?tile ~domains scheme mode ~query ~subject =
@@ -85,9 +85,9 @@ let score_parallel ?impl ?tile ~domains scheme mode ~query ~subject =
     ();
   Tiling.finish plan
 
-let score_many ?impl ?tile ~domains scheme mode pairs =
+let score_many ?impl ?ws ?tile ~domains scheme mode pairs =
   let plans =
-    Array.map (fun (query, subject) -> make_plan ?tile scheme mode ~query ~subject) pairs
+    Array.map (fun (query, subject) -> make_plan ?ws ?tile scheme mode ~query ~subject) pairs
   in
   let grids =
     Array.map (fun plan -> (Tiling.tile_rows plan, Tiling.tile_cols plan)) plans
@@ -95,7 +95,9 @@ let score_many ?impl ?tile ~domains scheme mode pairs =
   run_dynamic_many ?impl ~domains ~grids
     ~compute:(fun ~grid ~ti ~tj -> Tiling.compute_tile plans.(grid) ~ti ~tj)
     ();
-  Array.map Tiling.finish plans
+  let ends = Array.map Tiling.finish plans in
+  Array.iter Tiling.release plans;
+  ends
 
 let score_parallel_static ?tile ~domains scheme mode ~query ~subject =
   let plan = make_plan ?tile scheme mode ~query ~subject in

@@ -50,6 +50,7 @@ val score_parallel :
 
 val score_many :
   ?impl:Workqueue.impl ->
+  ?ws:Anyseq_core.Scratch.t ->
   ?tile:int ->
   domains:int ->
   Anyseq_scoring.Scheme.t ->
@@ -59,7 +60,9 @@ val score_many :
 (** Score several pairs concurrently through one shared dynamic queue — the
     Fig. 3 scenario: tiles of all alignments interleave, so ramp-up and
     ramp-down phases of one alignment are filled by tiles of the others.
-    Results are in input order. *)
+    Results are in input order. With [ws], every plan's border stripes
+    come from that arena and go back to it before the call returns; the
+    worker domains never touch it. *)
 
 val score_parallel_static :
   ?tile:int ->

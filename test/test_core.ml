@@ -189,7 +189,7 @@ let tiled_ends_match_linear =
     QCheck2.Gen.(
       tup4 (pair ac ac)
         (oneofl (List.map snd Helpers.schemes_under_test))
-        (oneofl [ T.Local; T.Semiglobal ])
+        (oneofl Helpers.modes_under_test)
         (1 -- 4))
     (fun ((q, s), scheme, mode, tile) ->
       let qv = view (dna q) and sv = view (dna s) in

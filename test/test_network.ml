@@ -185,7 +185,8 @@ let test_edges_spill_merge () =
         (Sys.readdir tmp))
 
 (* Spilling changes nothing in the output: the same edges written through
-   a small buffer (many runs), through a buffer larger than one merge
+   a buffer so small that the runs outnumber the merge fan-in (merged in
+   passes), a small buffer (many runs), a buffer larger than one merge
    chunk (runs read back in several chunks) and all in memory give
    byte-identical TSVs and the same hook sequence. Identities include
    values whose two-decimal rounding is delicate. *)
@@ -238,8 +239,11 @@ let test_edges_spill_bytes () =
       Alcotest.(check bool) (what ^ ": TSV bytes") true (tsv = mem_tsv);
       Alcotest.(check int) (what ^ ": written") mem_st.Edges.written st.Edges.written;
       Alcotest.(check int) (what ^ ": duplicates") mem_st.Edges.duplicates st.Edges.duplicates;
-      Alcotest.(check bool) (what ^ ": hook sequence") true (seen = mem_seen))
-    [ 64; 4500 ]
+      Alcotest.(check bool) (what ^ ": hook sequence") true (seen = mem_seen);
+      if buffer = 8 then
+        Alcotest.(check bool) (what ^ ": runs outnumber the fan-in") true
+          (st.Edges.spilled_runs > Edges.merge_fan_in))
+    [ 8; 64; 4500 ]
 
 (* ------------------------------------------------------------------ *)
 (* Components                                                          *)

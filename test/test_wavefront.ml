@@ -236,6 +236,60 @@ let test_score_many () =
         pairs)
     [ T.Global; T.Local ]
 
+(* Plans built on a dirty, reused arena: every buffer [Tiling.create ~ws]
+   takes must be initialized over the prefix it uses. The arena starts
+   with garbage buffers of every size class the plans ask for, and the
+   same arena then serves every call, each returning the buffers the
+   previous one left dirty. Lengths sit at tile boundaries. *)
+let test_score_many_dirty_arena () =
+  let module Scratch = Anyseq_core.Scratch in
+  let tile = 16 in
+  let ws = Scratch.create () in
+  let classes = [ 16; 32; 64 ] in
+  let ints = List.concat_map (fun len -> List.init 48 (fun _ -> Scratch.acquire ws len)) classes in
+  let bytes =
+    List.concat_map (fun len -> List.init 48 (fun _ -> Scratch.acquire_bytes ws len)) classes
+  in
+  List.iteri
+    (fun k a -> Array.fill a 0 (Array.length a) (if k mod 2 = 0 then max_int else min_int + k))
+    ints;
+  List.iter (fun b -> Bytes.fill b 0 (Bytes.length b) '\255') bytes;
+  List.iter (Scratch.release ws) ints;
+  List.iter (Scratch.release_bytes ws) bytes;
+  let rng = Rng.create ~seed:97 in
+  let lens = [ 0; 1; tile - 1; tile; tile + 1; (2 * tile) + 1 ] in
+  let pairs =
+    Array.of_list
+      (List.concat_map
+         (fun n ->
+           List.map
+             (fun m ->
+               ( Sequence.random rng Anyseq_bio.Alphabet.dna4 ~len:n,
+                 Sequence.random rng Anyseq_bio.Alphabet.dna4 ~len:m ))
+             lens)
+         lens)
+  in
+  List.iter
+    (fun (sname, scheme) ->
+      List.iter
+        (fun mode ->
+          let got = Scheduler.score_many ~ws ~tile ~domains:2 scheme mode pairs in
+          Array.iteri
+            (fun i (q, s) ->
+              let want =
+                Anyseq_core.Dp_linear.score_only scheme mode ~query:(Sequence.view q)
+                  ~subject:(Sequence.view s)
+              in
+              let ends (e : T.ends) = (e.T.score, e.T.query_end, e.T.subject_end) in
+              Alcotest.(check (triple int int int))
+                (Printf.sprintf "%s %s %dx%d" sname
+                   (Anyseq_bio.Alignment.mode_to_string mode)
+                   (Sequence.length q) (Sequence.length s))
+                (ends want) (ends got.(i)))
+            pairs)
+        Helpers.modes_under_test)
+    Helpers.schemes_under_test
+
 let scheduled_scores_match =
   Helpers.qtest ~count:25 "parallel schedulers = scalar scores"
     QCheck2.Gen.(tup3 (map (fun seed ->
@@ -389,6 +443,8 @@ let () =
             Alcotest.test_case "static respects deps" `Quick test_static_respects_dependencies;
             Alcotest.test_case "many grids" `Quick test_dynamic_many;
             Alcotest.test_case "score_many (Fig. 3)" `Quick test_score_many;
+            Alcotest.test_case "score_many on a dirty arena = dp_linear ends" `Quick
+              test_score_many_dirty_arena;
             scheduled_scores_match;
           ] );
       ( "sim",
